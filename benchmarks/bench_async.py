@@ -101,7 +101,8 @@ def measure(backend: str, mode: str, commits: int = MEASURE_COMMITS,
         for _ in range(commits):
             trainer.step(k)
         best = min(best, time.perf_counter() - start)
-    trace = trainer.staleness_history
+    # Synchronous mode runs the plain round and records no staleness.
+    trace = trainer.staleness_history or [0.0]
     stats = {
         "staleness_mean": round(sum(trace) / len(trace), 4),
         "staleness_peak": round(max(trace), 4),

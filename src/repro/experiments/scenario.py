@@ -572,12 +572,13 @@ def run_async_comparison(
     assert config.scenario is not None
     scenario_config = ScenarioConfig.from_dict(config.scenario)
     commit_count = resolve_commit_count(scenario_config, config.num_clients)
-    # The deadline family is the synchronous answer to stragglers; both
-    # sides run without it so the comparison isolates the commit
-    # discipline (the async engine ignores deadline hooks by design).
+    # The deadline gate (a deadline or over-selection) is the synchronous
+    # answer to stragglers; both sides run without it so the comparison
+    # isolates the commit discipline (AsyncFLTrainer rejects a scenario
+    # whose gate applies: commits replace it).
     base = scenario_config.with_overrides(
         deadline=None, deadline_policy="fixed",
-        deadline_min=None, deadline_max=None,
+        deadline_min=None, deadline_max=None, over_selection=0.0,
     )
 
     loss_fig = FigureData(title="Async commits: loss vs simulated time")

@@ -8,43 +8,48 @@ arrive at the server in virtual time, and "round m" becomes the server's
 m-th **commit point** — the moment it folds the next batch of arrivals
 into the synchronized weights.
 
-Mechanics (one :meth:`AsyncRoundEngine.run_commit`):
+A commit is one :meth:`RoundEngine.run_round
+<repro.fl.engine.RoundEngine.run_round>` — the same sample → local steps
+→ preprocess → select → aggregate → update → residual-reset → charge
+pipeline as a synchronous round.  The async engine replaces three seams
+of it:
 
-1. **Dispatch** — every idle client starts a local step at the current
-   weights ``w(v)``; the upload it will produce is computed eagerly (one
+1. **Cohort source** — instead of sampler → local steps, every idle
+   client is *dispatched*: it starts a local step at the current weights
+   ``w(v)``; the upload it will produce is computed eagerly (one
    ``backend.local_steps`` call per wave, so the serial / vectorized /
    sharded backends stay interchangeable) and scheduled to *arrive* at
    ``now + finish_time``, where the finish time is the canonical
    compute+uplink arrival model every deadline policy already shares
-   (:func:`repro.scenarios.deadline.upload_finish_times`).  Each
-   in-flight upload carries the model version it was computed at.
-2. **Commit** — the server pops arrivals in ``(arrival_time,
-   client_id)`` order until ``commit_count`` uploads are buffered
-   (``0`` = wait for every in-flight upload, the full-cohort barrier),
-   orders the batch by dispatch sequence (so the synchronous special
-   case sums floats in exactly the plain trainer's client order),
-   applies the pluggable **staleness discount** ``d(s)`` to each
-   upload's wire values — ``s`` being the number of commits since the
-   upload's dispatch version — and runs the standard
-   preprocess → select → aggregate → update → residual-reset pipeline.
-   Residuals reset against the *undiscounted* preprocessed uploads: the
-   client's error-feedback bookkeeping reflects what it actually sent,
-   mirroring how the adversary seam restores honest payloads.
-3. **Re-dispatch** — committed clients become idle and start their next
-   local step at the new weights when the next commit begins; stragglers
-   stay in flight with their original arrival times.
+   (:func:`repro.scenarios.deadline.upload_finish_times`).  The commit's
+   uploads are then the next ``commit_count`` arrivals popped in
+   ``(arrival_time, client_id)`` order (``0`` = every in-flight upload,
+   the full-cohort barrier), ordered by dispatch sequence so the
+   weighted float sums accumulate in the plain trainer's client order.
+   Committed clients are re-dispatched at the new weights by the next
+   commit; stragglers stay in flight with their original arrival times.
+2. **Wire** — between preprocessing and selection, the pluggable
+   **staleness discount** ``d(s)`` scales each preprocessed upload's
+   values, ``s`` being the number of commits since the upload's
+   dispatch version.  Residuals reset against the *undiscounted*
+   preprocessed uploads: the client's error-feedback bookkeeping
+   reflects what it actually sent, mirroring how the adversary seam
+   restores honest payloads.
+3. **Hooks** — the virtual-clock charge and the adaptive discount's
+   exponent probe, chained under the deployment scenario's hooks, so a
+   scenario's adversary, cohort reweighting and flagged-client events
+   compose with async commits unchanged.
 
-Synchronous-equivalence mode (``synchronous=True``) drives the identical
-event queue with a full-cohort barrier, an identity discount, and the
-engine's default timing charge — and reproduces the plain
+Synchronous-equivalence mode (``synchronous=True``) replaces none of the
+seams: it *is* the plain round, so it reproduces the plain
 :class:`~repro.fl.trainer.FLTrainer` history *bit for bit* on every
-backend (enforced by ``tests/test_async.py``).  Asynchronous mode
-instead charges virtual time: each commit's ``round_time`` is the
-virtual-clock delta from the previous commit's completion to this one's
-(arrival close plus the downlink broadcast), so
-``history.cumulative_time`` is simulated elapsed time and
-convergence-vs-time comparisons against the synchronous baseline are
-direct.
+backend, with or without a scenario (enforced by ``tests/test_engine.py``
+and ``tests/test_async.py``).  Asynchronous mode instead charges virtual
+time: each commit's ``round_time`` is the virtual-clock delta from the
+previous commit's completion to this one's (arrival close plus the
+downlink broadcast), so ``history.cumulative_time`` is simulated elapsed
+time and convergence-vs-time comparisons against the synchronous
+baseline are direct.
 
 Staleness discounts (:func:`build_staleness_discount`):
 
@@ -74,17 +79,18 @@ monitor, and the JSONL tooling consume async runs unchanged.
 from __future__ import annotations
 
 import heapq
-import time
 
-import numpy as np
-
-from repro.fl.engine import EngineFacade, RoundEngine
-from repro.fl.metrics import RoundRecord, TrainingHistory
-from repro.obs import SPARSE_ELEMENT_BYTES
+from repro.fl.engine import (
+    ChainedHooks,
+    RoundContext,
+    RoundEngine,
+    RoundHooks,
+)
+from repro.fl.trainer import FLTrainer, _apply_scenario
 from repro.online.algorithm2 import SignOGD
 from repro.online.estimator import estimate_sign
 from repro.online.interval import SearchInterval
-from repro.simulation.timing import TimingModel
+from repro.simulation.timing import RoundTiming, TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector, Sparsifier
 
 STALENESS_DISCOUNT_KINDS = ("constant", "polynomial", "adaptive")
@@ -263,7 +269,8 @@ class _InFlight:
 
 
 class AsyncRoundEngine(RoundEngine):
-    """Event-queue commit engine over the :class:`RoundEngine` skeleton.
+    """Event-queue commit engine: :meth:`RoundEngine.run_round` with an
+    arrival-queue cohort source, a discounted wire, and commit hooks.
 
     Parameters beyond the base engine's:
 
@@ -279,13 +286,13 @@ class AsyncRoundEngine(RoundEngine):
         ClientProfile` feeding the arrival-time model; clients missing
         from the map travel at unit speed.
     synchronous:
-        Equivalence mode: full-cohort barrier, identity discount, and
-        the engine's *default* timing charge — bit-identical to the
-        plain trainer.  Requires ``commit_count == 0`` and an identity
-        ``ConstantDiscount``.  Asynchronous mode instead fixes the
-        cohort at the first dispatch (clients run continuously; there is
-        no per-round resample) and charges virtual commit-to-commit
-        deltas.
+        Equivalence mode: the base engine's round, untouched — no event
+        queue, no discount, the default timing charge — so it is
+        bit-identical to the plain trainer.  Requires ``commit_count ==
+        0`` and an identity ``ConstantDiscount``.  Asynchronous mode
+        instead fixes the cohort at the first dispatch (clients run
+        continuously; there is no per-round resample) and charges
+        virtual commit-to-commit deltas.
     """
 
     def __init__(
@@ -297,12 +304,6 @@ class AsyncRoundEngine(RoundEngine):
         synchronous: bool = False,
         **kwargs,
     ) -> None:
-        if kwargs.get("scenario_hooks") is not None:
-            raise ValueError(
-                "the async engine replaces the deadline/availability hook "
-                "mechanism with commit points; scenario_hooks are not "
-                "supported"
-            )
         super().__init__(*args, **kwargs)
         if commit_count < 0:
             raise ValueError("commit_count must be >= 0 (0 = full cohort)")
@@ -324,46 +325,121 @@ class AsyncRoundEngine(RoundEngine):
         self.commit_count = commit_count
         self.profiles = dict(profiles) if profiles else {}
         self.synchronous = synchronous
-        #: model version = commits applied so far
-        self._version = 0
         #: virtual (simulated) time; advances at commit points
         self._vclock = 0.0
         self._queue: list[tuple[float, int, _InFlight]] = []
         self._seq = 0
         #: clients committed last round, idle until the next dispatch
-        #: (async mode; synchronous mode resamples every commit)
         self._redispatch: list = []
-        self._started = False
-        #: L(w) at the previous probed commit's result (adaptive discount)
-        self._loss_prev: float | None = None
+        #: the current commit's staleness per upload, the batch's last
+        #: arrival, and the preprocessed uploads before discounting
+        self._stale: list[int] = []
+        self._commit_close = 0.0
+        self._received: list[ClientUpload] = []
+        self._commit_hooks = _CommitHooks()
         #: mean staleness of each commit's batch (the figure/bench trace;
-        #: identically zero in synchronous mode)
+        #: empty in synchronous mode, which never goes stale)
         self.staleness_history: list[float] = []
 
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
         """Commits applied so far (the weights' version number)."""
-        return self._version
+        return self.round_index
 
     @property
     def virtual_clock(self) -> float:
         """Simulated time at the last commit's completion."""
-        return self._vclock
+        return self.clock if self.synchronous else self._vclock
 
     @property
     def in_flight(self) -> int:
         """Uploads currently travelling through virtual time."""
         return len(self._queue)
 
-    def run_round(self, *args, **kwargs):
-        raise RuntimeError(
-            "AsyncRoundEngine runs commit points, not synchronous rounds; "
-            "use run_commit(k)"
+    # ------------------------------------------------------------------
+    # The three seams of RoundEngine.run_round
+    # ------------------------------------------------------------------
+    def _round_hooks(self, hooks: RoundHooks) -> RoundHooks:
+        if self.synchronous:
+            return super()._round_hooks(hooks)
+        return ChainedHooks(self.scenario_hooks, self._commit_hooks, hooks)
+
+    def _draw_uploads(self, ctx: RoundContext, hooks: RoundHooks,
+                      lap) -> None:
+        """Dispatch idle clients, then pop the next commit batch."""
+        if self.synchronous:
+            super()._draw_uploads(ctx, hooks, lap)
+            return
+        wave = self._wave()
+        lap("sample")
+        self._dispatch(wave, ctx.k, hooks.wants_probes)
+        lap("local_steps")
+        if not self._queue:
+            raise RuntimeError("no uploads in flight — empty cohort")
+        target = (
+            len(self._queue) if self.commit_count == 0
+            else min(self.commit_count, len(self._queue))
+        )
+        batch = [heapq.heappop(self._queue)[2] for _ in range(target)]
+        # Pops are arrival-ordered, so the close is the last pop's time.
+        self._commit_close = batch[-1].arrival
+        # Aggregate in dispatch order, so a batch's weighted float sums
+        # accumulate in the plain trainer's client order.
+        batch.sort(key=lambda entry: entry.seq)
+        version = self.round_index - 1
+        self._stale = [version - entry.version for entry in batch]
+        self.staleness_history.append(
+            float(sum(self._stale)) / len(self._stale)
+        )
+        tel = self.telemetry
+        if tel.enabled:
+            for entry, s in zip(batch, self._stale):
+                # ``seconds`` is the upload's *virtual* flight time
+                # (dispatch → arrival), not wall-clock.
+                tel.event(
+                    "span",
+                    name="async.arrival",
+                    seconds=entry.arrival - entry.dispatch_time,
+                    round=ctx.round_index,
+                    client_id=int(entry.upload.client_id),
+                    staleness=int(s),
+                    arrival=entry.arrival,
+                )
+        ctx.participants = [entry.client for entry in batch]
+        ctx.uploads = [entry.upload for entry in batch]
+        # Committed clients start their next local step at the new
+        # weights when the next commit dispatches.
+        self._redispatch = list(ctx.participants)
+
+    def _wire_uploads(self, ctx: RoundContext) -> list[ClientUpload]:
+        """The preprocessed uploads scaled by the staleness discount."""
+        if self.synchronous:
+            return ctx.uploads
+        # What the server received (corrupted, then preprocessed) — the
+        # probe's input, since the scenario's after_aggregate puts honest
+        # payloads back into ctx.uploads before the commit hooks run.
+        self._received = ctx.uploads
+        return _discounted(
+            ctx.uploads, [self.discount.factor(s) for s in self._stale]
         )
 
     # ------------------------------------------------------------------
-    def _dispatch(self, wave, k: int) -> None:
+    def _wave(self) -> list:
+        """The clients to dispatch this commit.
+
+        The cohort is fixed at the first dispatch — the population runs
+        continuously, so later waves are exactly the clients freed by the
+        previous commit.
+        """
+        if self.round_index == 1:
+            if self.sampler is not None:
+                return [self._client_for(cid) for cid in self.sampler.sample()]
+            return self._all_participants()
+        wave, self._redispatch = self._redispatch, []
+        return wave
+
+    def _dispatch(self, wave, k: int, draw_probes: bool) -> None:
         """Start a local step for every client in ``wave`` at the current
         weights and schedule the resulting uploads' virtual arrivals."""
         if not wave:
@@ -373,7 +449,7 @@ class AsyncRoundEngine(RoundEngine):
         from repro.scenarios.deadline import upload_finish_times
 
         uploads = self.backend.local_steps(
-            self.model, wave, k, self.sparsifier
+            self.model, wave, k, self.sparsifier, draw_probes=draw_probes
         )
         finish = upload_finish_times(uploads, self.timing, self.profiles)
         now = self._vclock
@@ -383,7 +459,7 @@ class AsyncRoundEngine(RoundEngine):
                 seq=self._seq,
                 client=client,
                 upload=upload,
-                version=self._version,
+                version=self.round_index - 1,
                 dispatch_time=now,
             )
             self._seq += 1
@@ -393,85 +469,81 @@ class AsyncRoundEngine(RoundEngine):
                 self._queue, (entry.arrival, upload.client_id, entry)
             )
 
-    def _wave(self) -> tuple[list, list[int] | None]:
-        """The clients to dispatch this commit (and their sampled ids)."""
-        if self.synchronous or not self._started:
-            # Synchronous mode resamples every round (the plain trainer's
-            # behaviour); asynchronous mode fixes the cohort here — the
-            # population runs continuously, so later waves are exactly
-            # the clients freed by the previous commit.
-            self._started = True
-            if self.sampler is not None:
-                ids = self.sampler.sample()
-                return [self._client_for(cid) for cid in ids], ids
-            return self._all_participants(), None
-        wave, self._redispatch = self._redispatch, []
-        return wave, None
 
-    @staticmethod
-    def _discounted(
-        uploads: list[ClientUpload], factors: list[float]
-    ) -> list[ClientUpload]:
-        """Uploads with wire values scaled by ``factors``.
+def _discounted(
+    uploads: list[ClientUpload], factors: list[float]
+) -> list[ClientUpload]:
+    """Uploads with wire values scaled by ``factors``.
 
-        Structural no-op when every factor is 1, so the equivalence mode
-        aggregates the very same arrays the plain trainer does.  Scaled
-        payloads keep the original index array (same support, same nnz),
-        preserving the server's stacked fast-path precondition.
-        """
-        if all(f == 1.0 for f in factors):
-            return uploads
-        return [
-            ClientUpload(
-                client_id=up.client_id,
-                payload=SparseVector.from_sorted(
-                    up.payload.indices,
-                    up.payload.values * f,
-                    up.payload.dimension,
-                ),
-                sample_count=up.sample_count,
-            )
-            for up, f in zip(uploads, factors)
-        ]
+    Structural no-op when every factor is 1, so a staleness-free commit
+    aggregates the very same arrays.  Scaled payloads keep the original
+    index array (same support, same nnz), preserving the server's stacked
+    fast-path precondition.
+    """
+    if all(f == 1.0 for f in factors):
+        return uploads
+    return [
+        ClientUpload(
+            client_id=up.client_id,
+            payload=SparseVector.from_sorted(
+                up.payload.indices,
+                up.payload.values * f,
+                up.payload.dimension,
+            ),
+            sample_count=up.sample_count,
+        )
+        for up, f in zip(uploads, factors)
+    ]
 
-    def _adaptive_probe(
-        self, uploads, stale, factors, selection, w_prev, w_new
-    ) -> float | None:
+
+class _CommitHooks(RoundHooks):
+    """The async engine's round hooks: the adaptive discount's exponent
+    probe and the virtual-clock charge.
+
+    The engine is reached through ``ctx.engine`` only — holding it here
+    would make an engine ↔ hooks reference cycle that keeps a finished
+    run's state alive until the cyclic garbage collector runs.
+    """
+
+    def __init__(self) -> None:
+        #: L(w) at the previous probed commit's result
+        self._loss_prev: float | None = None
+
+    def after_update(self, ctx: RoundContext) -> None:
         """Run the adaptive discount's counterfactual exponent probe.
 
-        Returns the evaluated L(w_new) when the probe ran (the caller
-        hands it to ``finish_round`` so eval-cadence commits don't rerun
-        the identical forward pass), else None.
+        The evaluated L(w_new) goes to ``ctx.eval_loss``, so eval-cadence
+        commits don't rerun the identical forward pass.
         """
-        discount = self.discount
+        engine = ctx.engine
+        discount = engine.discount
         if not discount.adaptive:
-            return None
+            return
         a_probe = discount.probe_exponent()
-        if a_probe is None or max(stale) == 0:
+        if a_probe is None or max(engine._stale) == 0:
             # No probe, or a batch with no stale arrival — nothing the
             # exponent could have changed; the walk advances unchanged
             # and the carried loss goes stale, so force a re-evaluation
             # at the next probed commit.
             discount.observe(None)
             self._loss_prev = None
-            return None
-        probe_factors = [
-            float((1.0 + s) ** -a_probe) for s in stale
-        ]
-        # Same batch, same selection J, probe discount — a pure
+            return
+        probe_factors = [float((1.0 + s) ** -a_probe) for s in engine._stale]
+        # Same received batch, same selection J, probe discount — a pure
         # recomputation (commit=False keeps any robust aggregator's
         # reputation state at the real commit), then the plain SGD rule,
         # exactly like the deadline probe's w'(m) derivation.
-        payload = self.server.aggregate(
-            self._discounted(uploads, probe_factors), selection,
-            commit=False,
+        payload = engine.server.aggregate(
+            _discounted(engine._received, probe_factors), ctx.selection,
+            total_weight=ctx.aggregation_weight, commit=False,
         ).payload
-        w_probe = w_prev.copy()
-        w_probe[payload.indices] -= self.learning_rate * payload.values
+        w_probe = ctx.w_prev.copy()
+        w_probe[payload.indices] -= engine.learning_rate * payload.values
+        model, x, y = engine.model, engine._eval_x, engine._eval_y
         if self._loss_prev is None:
-            self._loss_prev = self._loss_at(w_prev, restore=w_new)
-        loss_now = float(self.model.loss_value(self._eval_x, self._eval_y))
-        loss_probe = self._loss_at(w_probe, restore=w_new)
+            self._loss_prev = float(model.loss_at(ctx.w_prev, x, y))
+        loss_now = float(model.loss_value(x, y))
+        loss_probe = float(model.loss_at(w_probe, x, y))
         # The commit cadence (who arrived when) does not depend on the
         # exponent, so τ_m and the counterfactual θ_m are equal; any
         # positive time cancels out of eq. (11)'s sign.
@@ -486,205 +558,65 @@ class AsyncRoundEngine(RoundEngine):
         )
         discount.observe(sign)
         self._loss_prev = loss_now
-        return loss_now
+        ctx.eval_loss = loss_now
 
-    def _loss_at(self, weights: np.ndarray, restore: np.ndarray) -> float:
-        """Evaluation-pool loss at ``weights``; model restored exactly."""
-        self.model.set_weights(weights)
-        try:
-            return float(self.model.loss_value(self._eval_x, self._eval_y))
-        finally:
-            self.model.set_weights(restore)
+    def round_timing(self, ctx: RoundContext) -> RoundTiming:
+        """Charge virtual time and advance the engine's virtual clock.
 
-    # ------------------------------------------------------------------
-    def run_commit(self, k: int, ensure_loss: bool = False) -> RoundRecord:
-        """Dispatch idle clients, commit the next arrival batch, record.
-
-        The async counterpart of :meth:`RoundEngine.run_round`: "round
-        m" in the history is the m-th commit point.
+        The server commits when the batch's last arrival lands (never
+        before it finished the previous broadcast), then broadcasts the
+        new model, paced by the slowest committed client's link.
+        Base-class transfer time on purpose — a HeterogeneousTimingModel's
+        own sparse_round folds in its worst-client factor, which would
+        double-count.
         """
-        if self.sparsifier is None:
-            raise RuntimeError("run_commit requires a sparsifier")
-        if not 1 <= k <= self.model.dimension:
-            raise ValueError(
-                f"k must be in [1, {self.model.dimension}], got {k}"
+        engine = ctx.engine
+        worst_comm = max(
+            (
+                engine.profiles[c.client_id].comm_factor
+                for c in ctx.participants
+                if c.client_id in engine.profiles
+            ),
+            default=1.0,
+        )
+        downlink_time = (
+            TimingModel.sparse_round(
+                engine.timing, 0, ctx.selection.downlink_element_count
+            ).downlink
+            * worst_comm
+        )
+        commit_complete = (
+            max(engine._commit_close, engine._vclock) + downlink_time
+        )
+        # One part carries the whole commit-to-commit delta: adding the
+        # zero parts is exact, so cumulative time stays the virtual
+        # clock's own arithmetic.
+        delta = commit_complete - engine._vclock
+        engine._vclock = commit_complete
+        return RoundTiming(computation=0.0, uplink=delta, downlink=0.0)
+
+    def observe(self, ctx: RoundContext) -> None:
+        engine = ctx.engine
+        if engine.telemetry.enabled:
+            stale = engine._stale
+            ctx.trace_fields.update(
+                staleness=float(sum(stale)) / len(stale),
+                staleness_max=int(max(stale)),
+                in_flight=engine.in_flight,
+                version=engine.version,
             )
-        m = self.begin_round()
-        tel = self.telemetry
-        tracing = tel.enabled
-        if tracing:
-            phases: dict[str, float] = {}
-            wall_start = mark = time.perf_counter()
-
-            def lap(phase: str) -> None:
-                nonlocal mark
-                now = time.perf_counter()
-                phases[phase] = phases.get(phase, 0.0) + (now - mark)
-                mark = now
-
-        start_round = getattr(self.sparsifier, "start_round", None)
-        if start_round is not None:
-            start_round(k)
-
-        wave, wave_ids = self._wave()
-        if tracing:
-            lap("sample")
-        self._dispatch(wave, k)
-        if tracing:
-            lap("local_steps")
-
-        if not self._queue:
-            raise RuntimeError("no uploads in flight — empty cohort")
-        target = (
-            len(self._queue) if self.commit_count == 0
-            else min(self.commit_count, len(self._queue))
-        )
-        batch = [heapq.heappop(self._queue)[2] for _ in range(target)]
-        # Pops are arrival-ordered, so the close is the last pop's time.
-        commit_close = batch[-1].arrival
-        # Aggregate in dispatch order: in the synchronous special case
-        # that is exactly the plain trainer's cohort order, so the
-        # weighted float sums accumulate bit-identically.
-        batch.sort(key=lambda entry: entry.seq)
-        participants = [entry.client for entry in batch]
-        stale = [self._version - entry.version for entry in batch]
-        self.staleness_history.append(float(sum(stale)) / len(stale))
-        if tracing:
-            for entry, s in zip(batch, stale):
-                # ``seconds`` is the upload's *virtual* flight time
-                # (dispatch → arrival), not wall-clock.
-                tel.event(
-                    "span",
-                    name="async.arrival",
-                    seconds=entry.arrival - entry.dispatch_time,
-                    round=m,
-                    client_id=int(entry.upload.client_id),
-                    staleness=int(s),
-                    arrival=entry.arrival,
-                )
-
-        uploads = self.sparsifier.preprocess_uploads(
-            [entry.upload for entry in batch]
-        )
-        if tracing:
-            lap("preprocess")
-        factors = [self.discount.factor(s) for s in stale]
-        wire = self._discounted(uploads, factors)
-        selection = self.sparsifier.server_select(
-            wire, k, self.model.dimension
-        )
-        if tracing:
-            lap("select")
-        downlink = self.server.aggregate(wire, selection)
-        if tracing:
-            lap("aggregate")
-
-        w_prev = self.model.get_weights()
-        payload = downlink.payload
-        weights = w_prev.copy()
-        if self.optimizer is not None:
-            weights = self.optimizer.step(weights, payload.to_dense())
-        else:
-            weights[payload.indices] -= self.learning_rate * payload.values
-        self.model.set_weights(weights)
-        if tracing:
-            lap("update")
-
-        # Error feedback subtracts what each client actually sent — the
-        # undiscounted preprocessed uploads, not the discounted wire.
-        self.backend.reset_residuals(participants, uploads, selection.indices)
-        if self.sparsifier.discards_residual:
-            for client in participants:
-                client.reset_all()
-        self._note_participation(participants)
-        self._version += 1
-        if not self.synchronous:
-            self._redispatch = participants
-        if tracing:
-            lap("residual_reset")
-
-        eval_loss = self._adaptive_probe(
-            uploads, stale, factors, selection, w_prev, weights
-        )
-        if tracing:
-            lap("probe")
-
-        uplink_elements = max(up.payload.nnz for up in wire)
-        if self.synchronous:
-            # Equivalence mode charges the engine's default path, so the
-            # recorded history matches the plain trainer bit for bit.
-            sparse_round_for = getattr(self.timing, "sparse_round_for", None)
-            if sparse_round_for is not None:
-                timing = sparse_round_for(
-                    uplink_elements, selection.downlink_element_count,
-                    wave_ids,
-                )
-            else:
-                timing = self.timing.sparse_round(
-                    uplink_elements, selection.downlink_element_count
-                )
-            round_time = timing.total
-            self._vclock += round_time
-        else:
-            # Virtual time: the server commits when the batch's last
-            # arrival lands (never before it finished the previous
-            # broadcast), then broadcasts the new model, paced by the
-            # slowest committed client's link.  Base-class transfer time
-            # on purpose — a HeterogeneousTimingModel's own sparse_round
-            # folds in its worst-client factor, which would double-count.
-            worst_comm = max(
-                (
-                    self.profiles[c.client_id].comm_factor
-                    for c in participants
-                    if c.client_id in self.profiles
-                ),
-                default=1.0,
-            )
-            downlink_time = (
-                TimingModel.sparse_round(
-                    self.timing, 0, selection.downlink_element_count
-                ).downlink
-                * worst_comm
-            )
-            commit_complete = max(commit_close, self._vclock) + downlink_time
-            round_time = commit_complete - self._vclock
-            self._vclock = commit_complete
-
-        if tracing:
-            self._pending_trace = {
-                "phases": phases,
-                "wall_start": wall_start,
-                "participants": len(batch),
-                "dropped_ids": [],
-                "uplink_bytes": SPARSE_ELEMENT_BYTES * sum(
-                    up.payload.nnz for up in wire
-                ),
-                "extra": {
-                    "staleness": float(sum(stale)) / len(stale),
-                    "staleness_max": int(max(stale)),
-                    "in_flight": len(self._queue),
-                    "version": self._version,
-                },
-            }
-        return self.finish_round(
-            k=float(k),
-            round_time=round_time,
-            uplink_elements=uplink_elements,
-            downlink_elements=selection.downlink_element_count,
-            contributions=dict(selection.contributions),
-            loss_fn=(lambda: eval_loss) if eval_loss is not None else None,
-            ensure_loss=ensure_loss,
-        )
 
 
 # ----------------------------------------------------------------------
 # Trainer facade
 # ----------------------------------------------------------------------
-class AsyncFLTrainer(EngineFacade):
+class AsyncFLTrainer(FLTrainer):
     """Asynchronous federated training with staleness-weighted commits.
 
-    The async counterpart of :class:`~repro.fl.trainer.FLTrainer`; the
-    shared parameters mean the same thing.  Additional parameters:
+    The async counterpart of :class:`~repro.fl.trainer.FLTrainer`: the
+    shared parameters mean the same thing, and ``step``/``run``/
+    ``run_until_loss`` run commit points (the engine's ``run_round``).
+    Additional parameters:
 
     discount:
         A :class:`StalenessDiscount` instance or a kind string from
@@ -702,10 +634,15 @@ class AsyncFLTrainer(EngineFacade):
         bit-identical to the plain trainer's.
     scenario:
         Optional :class:`~repro.scenarios.DeploymentScenario`; supplies
-        the sampler, straggler profiles, and robust aggregator.  The
-        scenario's *deadline hooks are not installed* — asynchronous
-        commits replace deadline-driven partial aggregation (stragglers
-        arrive late instead of being dropped).
+        the sampler, straggler profiles (unless ``profiles`` is given)
+        and robust aggregator, and installs its hooks exactly as
+        :class:`~repro.fl.trainer.FLTrainer` does — the adversary,
+        cohort reweighting and flagged-client accounting apply to every
+        commit.  A scenario whose deadline gate applies (a deadline or
+        over-selection) is rejected: commits replace deadline-driven
+        partial aggregation (stragglers arrive late instead of being
+        dropped).  Availability churn is sampled once, at the first
+        dispatch.
     """
 
     def __init__(
@@ -731,16 +668,18 @@ class AsyncFLTrainer(EngineFacade):
         telemetry=None,
         seed: int = 0,
     ) -> None:
-        aggregator = None
+        sampler, scenario_hooks, aggregator = _apply_scenario(
+            scenario, sampler
+        )
         if scenario is not None:
-            if sampler is not None:
+            if scenario_hooks.policy.applies(scenario_hooks.target_uploads):
                 raise ValueError(
-                    "pass either a scenario or a sampler, not both"
+                    "async commits replace the deadline gate; the scenario "
+                    "sets a deadline or over-selection, which "
+                    "AsyncFLTrainer cannot honour — drop both"
                 )
-            sampler = scenario.sampler
             if profiles is None:
                 profiles = scenario.profiles
-            aggregator = scenario.aggregator
         if isinstance(discount, str):
             discount = build_staleness_discount(discount)
         if profiles is not None and not isinstance(profiles, dict):
@@ -760,6 +699,7 @@ class AsyncFLTrainer(EngineFacade):
             momentum_correction=momentum_correction,
             optimizer=optimizer,
             backend=backend,
+            scenario_hooks=scenario_hooks,
             spill_after=spill_after,
             telemetry=telemetry,
             seed=seed,
@@ -787,31 +727,3 @@ class AsyncFLTrainer(EngineFacade):
     def staleness_history(self) -> list[float]:
         """Mean staleness of each commit's batch so far."""
         return self.engine.staleness_history
-
-    def step(self, k: int) -> RoundRecord:
-        """Run one commit point with k-element GS and record it."""
-        return self.engine.run_commit(k)
-
-    def run(self, num_rounds: int, k) -> TrainingHistory:
-        """Run ``num_rounds`` commits with constant, listed, or scheduled k."""
-        from repro.fl.trainer import _as_schedule
-
-        schedule = _as_schedule(k, self.model.dimension)
-        for _ in range(num_rounds):
-            self.step(schedule(self.engine.round_index + 1))
-        return self.history
-
-    def run_until_loss(
-        self, target_loss: float, k, max_rounds: int = 100_000
-    ) -> TrainingHistory:
-        """Run commits until global loss <= ``target_loss``."""
-        from repro.fl.trainer import _as_schedule
-
-        schedule = _as_schedule(k, self.model.dimension)
-        while self.engine.round_index < max_rounds:
-            record = self.engine.run_commit(
-                schedule(self.engine.round_index + 1), ensure_loss=True
-            )
-            if record.loss <= target_loss:
-                break
-        return self.history

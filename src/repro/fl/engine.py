@@ -29,9 +29,13 @@ always-send-all's dense aggregation) reuse steps 6–7 through
 ``FLTrainer``, ``AdaptiveKTrainer``, ``FedAvgTrainer`` and
 ``AlwaysSendAllTrainer`` are thin façades over this class; their public
 APIs and produced histories are unchanged from the pre-engine
-implementations.  This is also the seam future scaling work (async
-rounds, client dropout, multiprocessing, sharding) plugs into: a new
-scenario is a new hook object or backend, not a fourth copy of the loop.
+implementations.  Asynchronous commits
+(:class:`~repro.fl.async_engine.AsyncRoundEngine`) run through the same
+:meth:`RoundEngine.run_round`, replacing three seams: the cohort source
+(:meth:`RoundEngine._draw_uploads`), the wire the server aggregates
+(:meth:`RoundEngine._wire_uploads`) and the hooks chained under the
+scenario's (:meth:`RoundEngine._round_hooks`).  A new scenario is a new
+hook object, backend or seam override, not another copy of the loop.
 """
 
 from __future__ import annotations
@@ -92,6 +96,8 @@ class RoundContext:
         #: eval-cadence rounds instead of re-running the identical
         #: deterministic forward pass.
         self.eval_loss: float | None = None
+        #: extra fields a hook adds to the round's trace event
+        self.trace_fields: dict = {}
 
 
 class RoundHooks:
@@ -106,6 +112,9 @@ class RoundHooks:
     ``round_timing`` (may replace the default charge) →
     ``extra_round_time`` (timing computed) → ``observe`` (round_time
     final, before evaluation/record).
+
+    Any hook may add fields to the round's trace event through
+    ``ctx.trace_fields``.
 
     ``after_local_steps`` may *filter* ``ctx.uploads`` and
     ``ctx.participants`` (keeping the two lists aligned) — this is how
@@ -197,6 +206,23 @@ class ChainedHooks(RoundHooks):
         if not self.hooks:
             return float(ctx.k)
         return self.hooks[-1].record_k(ctx)
+
+
+class _PhaseClock:
+    """Wall-clock stopwatch splitting a traced round into phases."""
+
+    def __init__(self) -> None:
+        self.phases: dict[str, float] = {}
+        self.wall_start = self._mark = time.perf_counter()
+
+    def __call__(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.phases[phase] = self.phases.get(phase, 0.0) + (now - self._mark)
+        self._mark = now
+
+
+def _no_lap(phase: str) -> None:
+    """The stopwatch of an untraced round: records nothing."""
 
 
 class EngineFacade:
@@ -488,70 +514,36 @@ class RoundEngine:
             raise ValueError(
                 f"k must be in [1, {self.model.dimension}], got {k}"
             )
-        hooks = hooks if hooks is not None else _DEFAULT_HOOKS
-        if self.scenario_hooks is not None:
-            hooks = ChainedHooks(self.scenario_hooks, hooks)
+        hooks = self._round_hooks(
+            hooks if hooks is not None else _DEFAULT_HOOKS
+        )
         ctx = RoundContext(self, self.begin_round(), k)
-
-        tel = self.telemetry
-        tracing = tel.enabled
-        if tracing:
-            phases: dict[str, float] = {}
-            wall_start = mark = time.perf_counter()
-
-            def lap(phase: str) -> None:
-                # Hook work around local steps (deadline gate, replays,
-                # probe evals) accumulates under one "probe" phase.
-                nonlocal mark
-                now = time.perf_counter()
-                phases[phase] = phases.get(phase, 0.0) + (now - mark)
-                mark = now
+        # Hook work around the pipeline (deadline gate, replays, probe
+        # evals) accumulates under one "probe" phase.
+        lap = _PhaseClock() if self.telemetry.enabled else _no_lap
 
         start_round = getattr(self.sparsifier, "start_round", None)
         if start_round is not None:
             start_round(k)
 
-        if self.sampler is not None:
-            ctx.participant_ids = self.sampler.sample()
-            ctx.participants = [
-                self._client_for(cid) for cid in ctx.participant_ids
-            ]
-        else:
-            ctx.participant_ids = None
-            ctx.participants = self._all_participants()
-        if tracing:
-            lap("sample")
-            restored = sum(1 for c in ctx.participants if c.hibernating)
-            if restored:
-                tel.count("engine.residual_restore", restored)
-
         ctx.w_prev = self.model.get_weights()
-        ctx.uploads = self.backend.local_steps(
-            self.model, ctx.participants, k, self.sparsifier,
-            draw_probes=hooks.wants_probes,
-        )
-        if tracing:
-            lap("local_steps")
+        self._draw_uploads(ctx, hooks, lap)
         hooks.after_local_steps(ctx)
-        if tracing:
-            lap("probe")
+        lap("probe")
 
         ctx.uploads = self.sparsifier.preprocess_uploads(ctx.uploads)
-        if tracing:
-            lap("preprocess")
+        lap("preprocess")
+        wire = self._wire_uploads(ctx)
         ctx.selection = self.sparsifier.server_select(
-            ctx.uploads, k, self.model.dimension
+            wire, k, self.model.dimension
         )
-        if tracing:
-            lap("select")
+        lap("select")
         ctx.downlink = self.server.aggregate(
-            ctx.uploads, ctx.selection, total_weight=ctx.aggregation_weight
+            wire, ctx.selection, total_weight=ctx.aggregation_weight
         )
-        if tracing:
-            lap("aggregate")
+        lap("aggregate")
         hooks.after_aggregate(ctx)
-        if tracing:
-            lap("probe")
+        lap("probe")
 
         sparse_update = ctx.downlink.payload
         weights = ctx.w_prev.copy()
@@ -563,8 +555,7 @@ class RoundEngine:
             )
         ctx.w_new = weights
         self.model.set_weights(weights)
-        if tracing:
-            lap("update")
+        lap("update")
 
         self.backend.reset_residuals(
             ctx.participants, ctx.uploads, ctx.selection.indices
@@ -573,11 +564,9 @@ class RoundEngine:
             for client in ctx.participants:
                 client.reset_all()
         self._note_participation(ctx.participants)
-        if tracing:
-            lap("residual_reset")
+        lap("residual_reset")
         hooks.after_update(ctx)
-        if tracing:
-            lap("probe")
+        lap("probe")
 
         ctx.uplink_elements = max(up.payload.nnz for up in ctx.uploads)
         timing_override = hooks.round_timing(ctx)
@@ -595,16 +584,17 @@ class RoundEngine:
             )
         ctx.round_time = ctx.round_timing.total + hooks.extra_round_time(ctx)
         hooks.observe(ctx)
-        if tracing:
-            lap("probe")
+        lap("probe")
+        if self.telemetry.enabled:
             self._pending_trace = {
-                "phases": phases,
-                "wall_start": wall_start,
+                "phases": lap.phases,
+                "wall_start": lap.wall_start,
                 "participants": len(ctx.participants),
                 "dropped_ids": list(ctx.dropped_ids),
                 "uplink_bytes": SPARSE_ELEMENT_BYTES * sum(
                     up.payload.nnz for up in ctx.uploads
                 ),
+                "extra": ctx.trace_fields,
             }
 
         return self.finish_round(
@@ -619,6 +609,48 @@ class RoundEngine:
             ),
             ensure_loss=ensure_loss,
         )
+
+    # ------------------------------------------------------------------
+    # The three seams a commit-point engine replaces (see
+    # repro.fl.async_engine): which hooks run, where the uploads come
+    # from, and what the server aggregates.
+    # ------------------------------------------------------------------
+    def _round_hooks(self, hooks: RoundHooks) -> RoundHooks:
+        """The round's hooks: the scenario's, then the caller's."""
+        if self.scenario_hooks is None:
+            return hooks
+        return ChainedHooks(self.scenario_hooks, hooks)
+
+    def _draw_uploads(self, ctx: RoundContext, hooks: RoundHooks,
+                      lap) -> None:
+        """The cohort source: fill ``ctx.participants``/``ctx.uploads``.
+
+        Samples the participants (every client, or the sampler's subset)
+        and runs their local steps at ``ctx.w_prev``.
+        """
+        if self.sampler is not None:
+            ctx.participant_ids = self.sampler.sample()
+            ctx.participants = [
+                self._client_for(cid) for cid in ctx.participant_ids
+            ]
+        else:
+            ctx.participants = self._all_participants()
+        lap("sample")
+        if self.telemetry.enabled:
+            restored = sum(1 for c in ctx.participants if c.hibernating)
+            if restored:
+                self.telemetry.count("engine.residual_restore", restored)
+        ctx.uploads = self.backend.local_steps(
+            self.model, ctx.participants, ctx.k, self.sparsifier,
+            draw_probes=hooks.wants_probes,
+        )
+        lap("local_steps")
+
+    def _wire_uploads(self, ctx: RoundContext) -> list[ClientUpload]:
+        """The preprocessed uploads as the server selects and aggregates
+        them.  ``ctx.uploads`` itself is what the residual reset later
+        subtracts, so a transform here never touches client state."""
+        return ctx.uploads
 
     # ------------------------------------------------------------------
     # Skeleton primitives for trainers with a custom local phase
@@ -667,7 +699,7 @@ class RoundEngine:
             # still emit a round event, with an eval-only breakdown.
             phases = trace["phases"] if trace else {}
             phases["eval"] = time.perf_counter() - eval_start
-            extra = dict(trace["extra"]) if trace and "extra" in trace else {}
+            extra = dict(trace["extra"]) if trace else {}
             # JSON has no literal for NaN/±inf, so a non-finite loss
             # ships as None plus a machine-readable marker — the stream
             # stays strict JSON and the health monitor's divergence

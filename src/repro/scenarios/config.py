@@ -99,9 +99,10 @@ class ScenarioConfig:
     async_mode:
         Run the asynchronous staleness-weighted commit comparison
         (:func:`repro.experiments.scenario.run_async_comparison`) on top
-        of the synchronous artifacts.  Under async commits the deadline
-        family of fields is inert — stragglers arrive late (and get
-        discounted by staleness) instead of being dropped; see
+        of the synchronous artifacts.  The comparison runs both sides
+        without the deadline gate (deadline and over-selection) —
+        under async commits stragglers arrive late (and get discounted
+        by staleness) instead of being dropped; see
         :mod:`repro.fl.async_engine`.
     staleness_discount:
         One of :data:`repro.fl.async_engine.STALENESS_DISCOUNT_KINDS`

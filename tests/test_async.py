@@ -1,6 +1,6 @@
 """Asynchronous staleness-weighted aggregation tests.
 
-Four layers:
+Five layers:
 
 1. **Discounts** — the constant/polynomial/adaptive staleness discounts'
    arithmetic, validation, and the adaptive exponent's SignOGD walk.
@@ -8,11 +8,15 @@ Four layers:
    and the staleness each commit actually records (cross-backend and
    synchronous-equivalence identity live in ``tests/test_engine.py``'s
    equivalence matrix; the pinned async history in its golden suite).
-3. **Telemetry** — async runs emit schema-valid ``round`` events with
+3. **Scenario composition** — a commit is the engine's round, so a
+   scenario's adversary and robust aggregator act on every commit
+   (synchronous mode equals the plain trainer with the same scenario on
+   every backend), and a deadline gate is rejected.
+4. **Telemetry** — async runs emit schema-valid ``round`` events with
    ``staleness``/``staleness_max`` and per-arrival ``async.arrival``
    spans through the existing registry, as strict JSONL, and tracing
    never changes results.
-4. **Experiment wiring** — ``ScenarioConfig.async_mode`` and friends,
+5. **Experiment wiring** — ``ScenarioConfig.async_mode`` and friends,
    the :func:`repro.experiments.scenario.run_async_comparison` panel
    (async must reach the shared target loss in less simulated time than
    the synchronous barrier under heterogeneous timing), and the CLI
@@ -79,6 +83,17 @@ def _async_trainer(discount="constant", commit_count=3, slow_ids=(0, 3),
         commit_count=commit_count, profiles=profiles, telemetry=telemetry,
         **kwargs,
     )
+
+
+def _rows(history):
+    """History as comparable tuples (NaN losses mapped to None)."""
+    return [
+        (r.round_index, r.k, r.round_time, r.cumulative_time,
+         None if np.isnan(r.loss) else r.loss, r.accuracy,
+         r.uplink_elements, r.downlink_elements,
+         tuple(sorted(r.contributions.items())))
+        for r in history
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -196,10 +211,23 @@ class TestCommitMechanics:
         assert len(history) >= 10
         assert len(set(history)) > 1  # the walk actually moved
 
-    def test_run_round_is_rejected(self):
-        trainer = _async_trainer()
-        with pytest.raises(RuntimeError):
-            trainer.engine.run_round(12)
+    def test_run_round_runs_one_commit(self):
+        # A commit *is* the engine's round: run_round(k) on the engine
+        # must run exactly one commit, identical to the trainer's step.
+        via_engine = _async_trainer(discount="adaptive", commit_count=3)
+        via_step = _async_trainer(discount="adaptive", commit_count=3)
+        for m in range(1, 6):
+            via_engine.engine.run_round(12)
+            via_step.step(12)
+            assert len(via_engine.history) == m
+            assert via_engine.version == m
+            assert len(via_engine.staleness_history) == m
+        assert _rows(via_engine.history) == _rows(via_step.history)
+        assert via_engine.staleness_history == via_step.staleness_history
+        assert via_engine.virtual_clock == via_step.virtual_clock
+        np.testing.assert_array_equal(
+            via_engine.model.get_weights(), via_step.model.get_weights()
+        )
 
     def test_sync_mode_validates_preconditions(self):
         with pytest.raises(ValueError):
@@ -242,6 +270,127 @@ class TestCommitMechanics:
 
 
 # ----------------------------------------------------------------------
+# Scenario composition: a commit is the engine's round, so the scenario's
+# hooks (adversary, reweighting, flagged accounting) run on every commit
+# ----------------------------------------------------------------------
+#: half of an 8-client population sign-flips its uploads; no deadline
+SIGN_FLIP = ScenarioConfig(
+    availability="always", adversary="sign_flip", adversary_fraction=0.5,
+    aggregator="cosine", slow_fraction=0.25, slow_factor=4.0, seed=5,
+)
+
+
+def _scenario_trainer(cls, backend="serial", config=SIGN_FLIP, **kwargs):
+    fed = _federation(num_writers=8)
+    model = make_mlp(64, 10, hidden=(12,), seed=5)
+    ids = [c.client_id for c in fed.clients]
+    profiles = config.build_profiles(ids)
+    timing = HeterogeneousTimingModel(
+        model.dimension, comm_time=10.0, profiles=profiles
+    )
+    scenario = DeploymentScenario.build(config, ids, timing, profiles)
+    trainer = cls(
+        model, fed, FABTopK(), timing=timing, learning_rate=0.05,
+        batch_size=8, eval_every=2, seed=5, backend=backend,
+        scenario=scenario, **kwargs,
+    )
+    return trainer, scenario
+
+
+class TestScenarioComposition:
+    @pytest.mark.parametrize("backend", ("serial", "vectorized", "sharded"))
+    def test_sync_mode_with_adversary_matches_plain_trainer(self, backend):
+        from repro.fl.trainer import FLTrainer
+        from repro.parallel.sharded import ShardedBackend
+
+        def make_backend():
+            return ShardedBackend(jobs=2) if backend == "sharded" else backend
+
+        plain, plain_scenario = _scenario_trainer(FLTrainer, make_backend())
+        sync, sync_scenario = _scenario_trainer(
+            AsyncFLTrainer, make_backend(), synchronous=True
+        )
+        plain.run(5, k=12)
+        sync.run(5, k=12)
+        plain.close()
+        sync.close()
+        assert _rows(sync.history) == _rows(plain.history)
+        np.testing.assert_array_equal(
+            sync.model.get_weights(), plain.model.get_weights()
+        )
+        corrupted = plain_scenario.stats.corrupted_by_client
+        assert sum(corrupted.values()) > 0
+        assert sync_scenario.stats.corrupted_by_client == corrupted
+        assert sync.staleness_history == []  # the plain round is never stale
+        flagged = plain_scenario.stats.flagged_by_client
+        assert flagged
+        assert sync_scenario.stats.flagged_by_client == flagged
+
+    def test_buffered_commits_corrupt_every_adversarial_upload(
+        self, tmp_path
+    ):
+        path = tmp_path / "trace.jsonl"
+        telemetry = open_telemetry(str(path))
+        trainer, scenario = _scenario_trainer(
+            AsyncFLTrainer, commit_count=4, discount="polynomial",
+            telemetry=telemetry,
+        )
+        trainer.run(5, k=12)
+        telemetry.close()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        committed = [e["client_id"] for e in events
+                     if e["type"] == "span" and e["name"] == "async.arrival"]
+        assert len(committed) == 5 * 4
+        adversary = scenario.hooks.adversary
+        expected = {}
+        for cid in committed:
+            if adversary.is_adversary(cid):
+                expected[cid] = expected.get(cid, 0) + 1
+        assert expected, "no adversarial upload was committed"
+        assert scenario.stats.corrupted_by_client == expected
+
+    def test_exponent_probe_reaggregates_the_received_wire(self):
+        # The probe must replay what the server received — the poisoned
+        # payloads — not the honest ones restored for the residual reset.
+        trainer, _ = _scenario_trainer(
+            AsyncFLTrainer, commit_count=4, discount="adaptive"
+        )
+        server = trainer.engine.server
+        aggregate = server.aggregate
+        calls = []
+
+        def spy(uploads, selection, total_weight=None, commit=True):
+            calls.append((commit, {
+                up.client_id: up.payload.values.copy() for up in uploads
+            }))
+            return aggregate(uploads, selection, total_weight=total_weight,
+                             commit=commit)
+
+        server.aggregate = spy
+        trainer.run(5, k=12)
+        probes = [
+            (wire, probe) for (real, wire), (counterfactual, probe)
+            in zip(calls, calls[1:]) if real and not counterfactual
+        ]
+        assert probes
+        for wire, probe in probes:
+            assert wire.keys() == probe.keys()
+            for cid, values in wire.items():
+                np.testing.assert_array_equal(
+                    np.sign(probe[cid]), np.sign(values)
+                )
+
+    @pytest.mark.parametrize("overrides", (
+        dict(deadline=2.5),
+        dict(participants=4, over_selection=0.5),
+    ))
+    def test_deadline_gate_is_rejected(self, overrides):
+        config = SIGN_FLIP.with_overrides(**overrides)
+        with pytest.raises(ValueError, match="deadline"):
+            _scenario_trainer(AsyncFLTrainer, config=config, commit_count=4)
+
+
+# ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------
 class TestAsyncTelemetry:
@@ -257,6 +406,8 @@ class TestAsyncTelemetry:
             ))
             for line in path.read_text().splitlines() if line
         ]
+        for record in records:
+            validate_event(record)
         return trainer, records
 
     def test_round_events_carry_staleness(self, tmp_path):
@@ -266,7 +417,7 @@ class TestAsyncTelemetry:
         for event in rounds:
             validate_event(event)
             assert event["staleness"] >= 0.0
-            assert event["staleness_max"] >= 0
+            assert event["staleness_max"] >= event["staleness"]
             assert event["in_flight"] >= 0
             assert event["version"] == event["round"]
         assert [r["staleness"] for r in rounds] == trainer.staleness_history

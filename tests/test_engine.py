@@ -43,7 +43,11 @@ from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import SignPolicy
-from repro.simulation.heterogeneous import ClientSampler
+from repro.scenarios import ScenarioConfig
+from repro.simulation.heterogeneous import (
+    ClientSampler,
+    HeterogeneousTimingModel,
+)
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.fub_topk import FUBTopK
@@ -178,6 +182,25 @@ def _golden_async():
     return trainer.run(10, k=9)
 
 
+def _golden_async_quantized():
+    # Pins the order of the async wire seam: quantization (preprocessing)
+    # runs before the staleness discount scales the wire values, and the
+    # residual reset subtracts the undiscounted quantized upload.  With an
+    # identity preprocessing step (the plain async golden) the discount's
+    # position relative to preprocessing is invisible.
+    model, fed, _ = _golden_setup()
+    profiles, timing = _golden_async_profiles(model, fed)
+    sparsifier = QuantizedSparsifier(
+        FABTopK(), UniformQuantizer(num_levels=15, seed=7)
+    )
+    trainer = AsyncFLTrainer(
+        model, fed, sparsifier, timing=timing, learning_rate=0.1,
+        batch_size=8, eval_every=3, seed=7, discount="polynomial",
+        commit_count=3, profiles=profiles,
+    )
+    return trainer.run(10, k=9)
+
+
 GOLDEN_SCENARIOS = {
     "fl_trainer": _golden_fl,
     "adaptive_trainer": _golden_adaptive,
@@ -185,6 +208,7 @@ GOLDEN_SCENARIOS = {
     "sendall_trainer": _golden_sendall,
     "cnn_fl_trainer": _golden_cnn,
     "async_fl_trainer": _golden_async,
+    "async_quantized_fl_trainer": _golden_async_quantized,
 }
 
 
@@ -418,24 +442,45 @@ class TestBackendEquivalence:
         )
         fast.close()
 
-    @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
+    @pytest.mark.parametrize("backend_name,profiled", [
+        pytest.param(name, profiled,
+                     id=f"{name}-profiled" if profiled else name)
+        for profiled in (False, True)
+        for name in ("serial",) + FAST_BACKENDS
+    ])
     def test_async_sync_equivalence_matches_plain_trainer(
-        self, backend_name
+        self, backend_name, profiled
     ):
         # Synchronous-equivalence mode: deadline = infinity, discount = 1,
         # commit after the full cohort — the event-queue machinery must
-        # reproduce the plain trainer bit for bit on every backend.
-        backend = make_backend(backend_name)
-        plain = _fl_trainer(backend, SPARSIFIER_FACTORIES["fab-top-k"])
+        # reproduce the plain trainer bit for bit on every backend.  The
+        # profiled rows charge straggler time through a
+        # HeterogeneousTimingModel (its sparse_round_for path).
+        def build(cls, **kwargs):
+            fed = _federation()
+            model = make_mlp(64, 10, hidden=(12,), seed=5)
+            if profiled:
+                profiles = ScenarioConfig(
+                    availability="always", slow_fraction=0.25,
+                    slow_factor=4.0, seed=5,
+                ).build_profiles([c.client_id for c in fed.clients])
+                timing = HeterogeneousTimingModel(
+                    model.dimension, comm_time=10.0, profiles=profiles
+                )
+                if cls is AsyncFLTrainer:
+                    kwargs["profiles"] = profiles
+            else:
+                timing = TimingModel(dimension=model.dimension,
+                                     comm_time=10.0)
+            return cls(
+                model, fed, FABTopK(), timing=timing, learning_rate=0.05,
+                batch_size=8, eval_every=4, seed=5,
+                backend=make_backend(backend_name), **kwargs,
+            )
+
+        plain = build(FLTrainer)
         hp = plain.run(10, k=15)
-        fed = _federation()
-        model = make_mlp(64, 10, hidden=(12,), seed=5)
-        timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-        sync = AsyncFLTrainer(
-            model, fed, FABTopK(), timing=timing, learning_rate=0.05,
-            batch_size=8, eval_every=4, seed=5,
-            backend=make_backend(backend_name), synchronous=True,
-        )
+        sync = build(AsyncFLTrainer, synchronous=True)
         hs = sync.run(10, k=15)
         assert history_rows(hp) == history_rows(hs)
         assert contribution_rows(hp) == contribution_rows(hs)
