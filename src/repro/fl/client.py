@@ -301,7 +301,13 @@ class Client:
         self.probe_sample = (x[h : h + 1], y[h : h + 1])
 
     def probe_loss(self, model: FlatModel, weights: np.ndarray) -> float:
-        """Loss ``f_{i,h}(weights)`` of the probe sample at given weights."""
+        """Loss ``f_{i,h}(weights)`` of the probe sample at given weights.
+
+        The single-client reference.  The adaptive-k trainer evaluates all
+        participants' probes in one grouped pass per weight vector
+        (:meth:`FlatModel.per_sample_losses_grouped_at`), bit-equal to
+        calling this on each participant.
+        """
         if self.probe_sample is None:
             raise RuntimeError("probe_loss called before draw_probe_sample")
         x, y = self.probe_sample

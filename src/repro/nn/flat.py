@@ -7,7 +7,8 @@ pairs.  :class:`FlatModel` provides exactly that interface on top of a
 :class:`repro.nn.layers.Sequential` network: getting/setting all weights as
 one vector, computing the flat gradient of a minibatch, and evaluating
 per-sample losses at arbitrary weight vectors (needed by the sign
-estimator, which probes three different weight vectors per round).
+estimator, which probes three different weight vectors per round, each
+for all participants in one grouped pass).
 """
 
 from __future__ import annotations
@@ -163,19 +164,19 @@ class FlatModel:
         """Mean loss on ``(x, y)`` at the current weights (no gradients)."""
         was_training = self.network.training
         self.network.train(False)
-        logits = self.network.forward(x)
-        value = self.loss.forward(logits, y)
-        self.network.train(was_training)
-        return value
+        try:
+            return self.loss.forward(self.network.forward(x), y)
+        finally:
+            self.network.train(was_training)
 
     def per_sample_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Loss of each sample at the current weights, shape ``(batch,)``."""
         was_training = self.network.training
         self.network.train(False)
-        logits = self.network.forward(x)
-        values = self.loss.per_sample(logits, y)
-        self.network.train(was_training)
-        return values
+        try:
+            return self.loss.per_sample(self.network.forward(x), y)
+        finally:
+            self.network.train(was_training)
 
     def loss_at(self, weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         """Mean loss of ``(x, y)`` evaluated at an arbitrary weight vector.
@@ -202,6 +203,48 @@ class FlatModel:
         finally:
             self.set_weights(saved)
 
+    def per_sample_losses_grouped_at(
+        self, weights: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]
+    ) -> np.ndarray:
+        """Per-sample losses of several per-group batches at one weight vector.
+
+        Returns shape ``(groups, batch)`` whose row ``g`` equals
+        ``self.per_sample_losses_at(weights, xs[g], ys[g])`` bit for bit.
+        The weights are swapped in and eval mode is set once for all
+        groups, which share one stacked ``forward_grouped`` pass: each
+        group's slice has the serial call's gemm shapes, the argument
+        :meth:`gradients_batched` rests on.  Networks without grouped
+        support (active Dropout, BatchNorm1D) run one forward per group
+        under the same single swap.  The sign estimator evaluates every
+        participant's one-sample probe this way, one call per weight
+        vector.  Zero groups give an empty array; groups must share one
+        batch size.
+        """
+        if len(ys) != len(xs):
+            raise ValueError("need one target array per group")
+        if not xs:
+            return np.empty((0, 0))
+        saved = self.get_weights()
+        was_training = self.network.training
+        try:
+            self.set_weights(weights)
+            self.network.train(False)
+            if not self.network.supports_grouped_batch():
+                return np.stack([
+                    self.loss.per_sample(self.network.forward(x), y)
+                    for x, y in zip(xs, ys)
+                ])
+            logits3 = self.network.forward_grouped(np.stack(xs))
+            groups, batch = logits3.shape[:2]
+            losses = self.loss.per_sample(
+                logits3.reshape((groups * batch,) + logits3.shape[2:]),
+                np.concatenate(ys),
+            )
+            return losses.reshape(groups, batch)
+        finally:
+            self.network.train(was_training)
+            self.set_weights(saved)
+
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         """Classification accuracy at the current weights.
 
@@ -212,6 +255,8 @@ class FlatModel:
             raise TypeError("loss does not define hard predictions")
         was_training = self.network.training
         self.network.train(False)
-        logits = self.network.forward(x)
-        self.network.train(was_training)
+        try:
+            logits = self.network.forward(x)
+        finally:
+            self.network.train(was_training)
         return float((predict(logits) == y).mean())

@@ -6,13 +6,16 @@ This is the full system of the paper's Fig. 3.  Each round m:
    yields the integer sparsity actually played.
 2. Clients run the Algorithm-1 local step at the synchronized weights
    w(m−1) and each draws one probe sample h from its minibatch, reporting
-   f_{i,h}(w(m−1)).
+   f_{i,h}(w(m−1)).  The simulation evaluates all participants' probe
+   samples in one grouped forward pass per weight vector
+   (:meth:`repro.nn.flat.FlatModel.per_sample_losses_grouped_at`).
 3. The server runs the sparsifier's selection and aggregation to produce
    w(m), and — when the policy requests a probe k' < k — derives the
    k'-element GS update from the k-element result (top-k' of the
    aggregated downlink values, transmitted as a small "difference"
    message, step ③ of Fig. 3) to form the probe weights w'(m).
-4. Clients report f_{i,h}(w(m)) and f_{i,h}(w'(m)); the server averages
+4. Clients report f_{i,h}(w(m)) and f_{i,h}(w'(m)) — again one grouped
+   pass over all participants per weight vector; the server averages
    them and the policy consumes the :class:`RoundObservation` (for the
    proposed method this computes ŝ_m via eqs. (10)–(11) and steps
    Algorithm 2/3).
@@ -66,13 +69,25 @@ class _ProbeHooks(RoundHooks):
         self.loss_now = float("nan")
         self.loss_probe: float | None = None
         self.w_probe: np.ndarray | None = None
+        self._probe_xs: list[np.ndarray] = []
+        self._probe_ys: list[np.ndarray] = []
 
     def after_local_steps(self, ctx: RoundContext) -> None:
-        # f_{i,h}(w(m-1)), averaged over the round's participants.
-        model = ctx.engine.model
-        self.loss_prev = float(
-            np.mean([c.probe_loss(model, ctx.w_prev) for c in ctx.participants])
-        )
+        # The cohort is final here (a scenario's gate runs first), so the
+        # participants' probe samples are gathered once for all three
+        # weight vectors.
+        samples = [c.probe_sample for c in ctx.participants]
+        if any(sample is None for sample in samples):
+            raise RuntimeError("probe losses requested before draw_probe_sample")
+        self._probe_xs = [x for x, _ in samples]
+        self._probe_ys = [y for _, y in samples]
+        self.loss_prev = self._mean_probe_loss(ctx, ctx.w_prev)
+
+    def _mean_probe_loss(self, ctx: RoundContext, weights: np.ndarray) -> float:
+        """f_{i,h}(weights) averaged over the participants, one grouped pass."""
+        return float(np.mean(ctx.engine.model.per_sample_losses_grouped_at(
+            weights, self._probe_xs, self._probe_ys
+        )))
 
     def after_aggregate(self, ctx: RoundContext) -> None:
         if self.probe_int is None:
@@ -86,16 +101,9 @@ class _ProbeHooks(RoundHooks):
         self.w_probe = w_probe
 
     def after_update(self, ctx: RoundContext) -> None:
-        model = ctx.engine.model
-        self.loss_now = float(
-            np.mean([c.probe_loss(model, ctx.w_new) for c in ctx.participants])
-        )
+        self.loss_now = self._mean_probe_loss(ctx, ctx.w_new)
         if self.w_probe is not None:
-            self.loss_probe = float(
-                np.mean(
-                    [c.probe_loss(model, self.w_probe) for c in ctx.participants]
-                )
-            )
+            self.loss_probe = self._mean_probe_loss(ctx, self.w_probe)
 
     def extra_round_time(self, ctx: RoundContext) -> float:
         if not (

@@ -27,6 +27,7 @@ from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.data.partition import partition_by_writer, partition_iid
 from repro.data.synthetic import make_femnist_like, make_gaussian_blobs
 from repro.fl.async_engine import AsyncFLTrainer
+from repro.fl.client import Client
 from repro.fl.backends import (
     BACKEND_NAMES,
     SerialBackend,
@@ -39,7 +40,7 @@ from repro.fl.trainer import FLTrainer
 from repro.nn.flat import FlatModel
 from repro.nn.layers import Dropout, Linear, Sequential
 from repro.nn.models import make_cnn, make_logistic, make_mlp
-from repro.online.adaptive_trainer import AdaptiveKTrainer
+from repro.online.adaptive_trainer import AdaptiveKTrainer, _ProbeHooks
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import SignPolicy
@@ -259,6 +260,31 @@ def _fl_trainer(backend, sparsifier_factory, seed=5, **kwargs):
                      seed=seed, backend=backend, **kwargs)
 
 
+def _cnn_federation(seed=5):
+    ds = make_femnist_like(num_writers=6, samples_per_writer=12,
+                           num_classes=6, image_size=8, classes_per_writer=3,
+                           flatten=False, seed=seed)
+    return partition_by_writer(ds, seed=seed)
+
+
+def _adaptive_trainer(backend, model_kind="mlp", **kwargs):
+    """The paper's adaptive-k trainer on the MLP or the fig6-style CNN."""
+    if model_kind == "cnn":
+        fed = _cnn_federation()
+        model = make_cnn(image_size=8, channels=1, num_classes=6,
+                         dense_width=8, seed=5)
+        batch_size = 6
+    else:
+        fed = _federation()
+        model = make_mlp(64, 10, hidden=(12,), seed=5)
+        batch_size = 8
+    timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+    policy = SignPolicy(SignOGD(SearchInterval(2.0, float(model.dimension))))
+    return AdaptiveKTrainer(model, fed, FABTopK(), policy, timing,
+                            learning_rate=0.05, batch_size=batch_size,
+                            eval_every=2, seed=5, backend=backend, **kwargs)
+
+
 SPARSIFIER_FACTORIES = {
     "fab-top-k": lambda model: FABTopK(),
     "fub-top-k": lambda model: FUBTopK(),
@@ -298,21 +324,17 @@ class TestBackendEquivalence:
             np.testing.assert_array_equal(cs.residual, cf.residual)
         fast.close()
 
-    @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
-    def test_adaptive_histories_identical(self, backend_name):
-        def build(backend):
-            fed = _federation()
-            model = make_mlp(64, 10, hidden=(12,), seed=5)
-            timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-            policy = SignPolicy(
-                SignOGD(SearchInterval(2.0, float(model.dimension)))
-            )
-            return AdaptiveKTrainer(model, fed, FABTopK(), policy, timing,
-                                    learning_rate=0.05, batch_size=8,
-                                    eval_every=2, seed=5, backend=backend)
-        fast = build(make_backend(backend_name))
-        assert history_rows(build("serial").run(8)) == history_rows(
-            fast.run(8)
+    @pytest.mark.parametrize(
+        "backend_name, model_kind",
+        [pytest.param(b, "mlp", id=b) for b in FAST_BACKENDS]
+        + [pytest.param(b, "cnn", id=f"{b}-cnn") for b in FAST_BACKENDS],
+    )
+    def test_adaptive_histories_identical(self, backend_name, model_kind):
+        fast = _adaptive_trainer(make_backend(backend_name), model_kind)
+        serial = _adaptive_trainer("serial", model_kind)
+        assert history_rows(serial.run(8)) == history_rows(fast.run(8))
+        np.testing.assert_array_equal(
+            serial.model.get_weights(), fast.model.get_weights()
         )
         fast.close()
 
@@ -373,10 +395,7 @@ class TestBackendEquivalence:
         # vectorized backend — and every backend must still produce
         # bit-equal histories, weights and residuals.
         def build(backend):
-            ds = make_femnist_like(num_writers=6, samples_per_writer=12,
-                                   num_classes=6, image_size=8,
-                                   classes_per_writer=3, flatten=False, seed=5)
-            fed = partition_by_writer(ds, seed=5)
+            fed = _cnn_federation()
             model = make_cnn(image_size=8, channels=1, num_classes=6,
                              dense_width=8, seed=5)
             timing = TimingModel(dimension=model.dimension, comm_time=10.0)
@@ -396,6 +415,44 @@ class TestBackendEquivalence:
         for cs, cf in zip(serial.clients, fast.clients):
             np.testing.assert_array_equal(cs.residual, cf.residual)
         fast.close()
+
+    def test_cnn_vectorized_run_takes_grouped_path(self, monkeypatch):
+        # A 3-round CNN config on the vectorized backend runs the grouped
+        # Conv2D/MaxPool2D im2col pass — one batched gradient call per
+        # round, no per-client fallback — and stays bit-equal to serial.
+        def build(backend):
+            ds = make_femnist_like(num_writers=6, samples_per_writer=12,
+                                   num_classes=6, image_size=8,
+                                   classes_per_writer=3, flatten=False,
+                                   seed=0)
+            fed = partition_by_writer(ds, seed=0)
+            model = make_cnn(image_size=8, channels=1, num_classes=6,
+                             dense_width=8, seed=0)
+            timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+            return FLTrainer(model, fed, FABTopK(), timing=timing,
+                             learning_rate=0.05, batch_size=6, eval_every=1,
+                             seed=0, backend=backend)
+
+        vec = build("vectorized")
+        assert vec.model.supports_batched_gradients(), "CNN fell back to serial"
+        calls = {"gradient": 0, "gradients_batched": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def spy(self, *args, _name=name,
+                        _original=getattr(FlatModel, name)):
+                    calls[_name] += 1
+                    return _original(self, *args)
+                patch.setattr(FlatModel, name, spy)
+            vec.run(3, k=20)
+        assert calls == {"gradient": 0, "gradients_batched": 3}
+        serial = build("serial")
+        serial.run(3, k=20)
+        assert [(r.loss, r.accuracy) for r in vec.history] == [
+            (r.loss, r.accuracy) for r in serial.history
+        ], "histories diverged"
+        np.testing.assert_array_equal(
+            vec.model.get_weights(), serial.model.get_weights()
+        )
 
     @staticmethod
     def _async_trainer(backend, synchronous=False):
@@ -579,6 +636,60 @@ class TestVirtualEagerEquivalence:
             eager.model.get_weights(), virtual.model.get_weights()
         )
         virtual.close()
+
+
+class TestAdaptiveProbePath:
+    """The grouped probe evaluation equals the per-client reference."""
+
+    @pytest.mark.parametrize("model_kind", ["mlp", "cnn"])
+    def test_probe_losses_match_client_probe_loss(self, model_kind,
+                                                  monkeypatch):
+        checked = []
+        after_update = _ProbeHooks.after_update
+
+        def checking_after_update(hooks, ctx):
+            after_update(hooks, ctx)
+            model = ctx.engine.model
+
+            def reference(weights):
+                return float(np.mean(
+                    [c.probe_loss(model, weights) for c in ctx.participants]
+                ))
+
+            assert hooks.loss_prev == reference(ctx.w_prev)
+            assert hooks.loss_now == reference(ctx.w_new)
+            if hooks.w_probe is not None:
+                assert hooks.loss_probe == reference(hooks.w_probe)
+            checked.append(hooks.w_probe is not None)
+
+        monkeypatch.setattr(_ProbeHooks, "after_update", checking_after_update)
+        _adaptive_trainer("vectorized", model_kind).run(6)
+        assert len(checked) == 6 and any(checked)
+
+    @pytest.mark.parametrize("backend_name", ["serial", "vectorized"])
+    def test_missing_probe_sample_raises(self, backend_name, monkeypatch):
+        trainer = _adaptive_trainer(backend_name)
+        skipped = trainer.engine.federation.clients[1].client_id
+        draw = Client.draw_probe_sample
+
+        def draw_except_one(client):
+            if client.client_id != skipped:
+                draw(client)
+
+        monkeypatch.setattr(Client, "draw_probe_sample", draw_except_one)
+        with pytest.raises(RuntimeError, match="draw_probe_sample"):
+            trainer.step()
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_empty_cohort_reaches_selection_error(self):
+        class EmptySampler:
+            def sample(self):
+                return []
+
+        trainer = _adaptive_trainer("serial", sampler=EmptySampler())
+        with pytest.raises(ValueError, match="no uploads"):
+            trainer.step()
 
 
 class TestBatchedKernels:

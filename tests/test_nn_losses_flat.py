@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nn.flat import FlatModel
 from repro.nn.init import glorot_uniform, he_normal, normal_init, zeros_init
-from repro.nn.layers import Linear, ReLU, Sequential
+from repro.nn.layers import BatchNorm1D, Dropout, Linear, ReLU, Sequential
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropy
 from repro.nn.models import make_cnn, make_logistic, make_mlp
 
@@ -200,6 +200,136 @@ class TestFlatModel:
         grad, _ = model.gradient(x, y)
         assert grad.shape == (model.dimension,)
         assert np.all(np.isfinite(grad))
+
+
+class TestEvalModeRestoredOnError:
+    """A raising forward must not leave the network in eval mode."""
+
+    def _model(self):
+        rng = np.random.default_rng(4)
+        return FlatModel(Sequential(
+            [Linear(6, 5, rng), Dropout(0.5, seed=1), Linear(5, 3, rng)]
+        ))
+
+    @pytest.mark.parametrize(
+        "method", ["loss_value", "per_sample_losses", "accuracy"]
+    )
+    def test_training_mode_restored(self, method):
+        model = self._model()
+        bad_x = RNG.standard_normal((4, 7))  # Linear expects 6 features
+        with pytest.raises(ValueError):
+            getattr(model, method)(bad_x, np.array([0, 1, 2, 0]))
+        assert model.network.training
+        assert all(layer.training for layer in model.network.layers)
+
+
+def _one_sample_groups(x, y):
+    """Split ``(x, y)`` into one-sample groups, like the trainer's probes."""
+    return (
+        [x[g : g + 1] for g in range(len(x))],
+        [y[g : g + 1] for g in range(len(y))],
+    )
+
+
+class TestPerSampleLossesGroupedAt:
+    """Grouped probe losses equal per-group ``per_sample_losses_at`` exactly."""
+
+    def _check(self, model, xs, ys, training=True):
+        model.network.train(training)
+        weights = model.get_weights()
+        other = weights + 0.1 * np.random.default_rng(9).standard_normal(
+            model.dimension
+        )
+        grouped = model.per_sample_losses_grouped_at(other, xs, ys)
+        expected = np.stack([
+            model.per_sample_losses_at(other, x, y) for x, y in zip(xs, ys)
+        ])
+        assert grouped.shape == (len(xs), xs[0].shape[0])
+        np.testing.assert_array_equal(grouped, expected)
+        np.testing.assert_array_equal(model.get_weights(), weights)
+        assert model.network.training is training
+        assert all(layer.training is training for layer in model.network.layers)
+
+    def test_mlp_softmax(self):
+        model = make_mlp(10, 4, hidden=(7,), seed=3)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((12, 10))
+        y = rng.integers(0, 4, 12)
+        self._check(model, *_one_sample_groups(x, y))
+        self._check(model, *_one_sample_groups(x, y), training=False)
+        # Multi-sample groups: one row of per-sample losses per group.
+        self._check(model, [x[:3], x[3:6], x[6:9]], [y[:3], y[3:6], y[6:9]])
+
+    def test_cnn_grouped_conv_with_batch_one(self):
+        model = make_cnn(image_size=8, channels=1, num_classes=5,
+                         dense_width=8, seed=2)
+        assert model.network.supports_grouped_batch()
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((7, 1, 8, 8))
+        y = rng.integers(0, 5, 7)
+        self._check(model, *_one_sample_groups(x, y))
+
+    def test_mse_loss(self):
+        rng = np.random.default_rng(2)
+        model = FlatModel(
+            Sequential([Linear(6, 5, rng), ReLU(), Linear(5, 2, rng)]),
+            MSELoss(),
+        )
+        x = rng.standard_normal((9, 6))
+        y = rng.standard_normal((9, 2))
+        self._check(model, *_one_sample_groups(x, y))
+
+    def test_dropout_fallback_keeps_rng_state(self):
+        rng = np.random.default_rng(3)
+        dropout = Dropout(0.5, seed=11)
+        model = FlatModel(
+            Sequential([Linear(6, 5, rng), dropout, ReLU(), Linear(5, 3, rng)])
+        )
+        assert not model.network.supports_grouped_batch()
+        state = dropout._rng.bit_generator.state
+        x = rng.standard_normal((8, 6))
+        y = rng.integers(0, 3, 8)
+        self._check(model, *_one_sample_groups(x, y))
+        assert dropout._rng.bit_generator.state == state
+
+    def test_batchnorm_fallback(self):
+        rng = np.random.default_rng(4)
+        norm = BatchNorm1D(5)
+        norm.running_mean = rng.standard_normal(5)
+        norm.running_var = rng.uniform(0.5, 2.0, 5)
+        model = FlatModel(
+            Sequential([Linear(6, 5, rng), norm, ReLU(), Linear(5, 3, rng)])
+        )
+        assert not model.network.supports_grouped_batch()
+        running = (norm.running_mean.copy(), norm.running_var.copy())
+        x = rng.standard_normal((8, 6))
+        y = rng.integers(0, 3, 8)
+        self._check(model, *_one_sample_groups(x, y))
+        np.testing.assert_array_equal(norm.running_mean, running[0])
+        np.testing.assert_array_equal(norm.running_var, running[1])
+
+    def test_zero_groups_give_empty_array(self):
+        model = make_mlp(10, 4, hidden=(7,), seed=3)
+        losses = model.per_sample_losses_grouped_at(model.get_weights(), [], [])
+        assert losses.size == 0
+
+    def test_raising_forward_restores_weights_and_mode(self):
+        model = make_mlp(10, 4, hidden=(7,), seed=3)
+        weights = model.get_weights()
+        bad = [np.zeros((1, 11))]  # the first Linear expects 10 features
+        with pytest.raises(ValueError):
+            model.per_sample_losses_grouped_at(
+                np.zeros(model.dimension), bad, [np.array([0])]
+            )
+        np.testing.assert_array_equal(model.get_weights(), weights)
+        assert model.network.training
+
+    def test_rejects_mismatched_targets(self):
+        model = make_mlp(10, 4, hidden=(7,), seed=3)
+        with pytest.raises(ValueError):
+            model.per_sample_losses_grouped_at(
+                model.get_weights(), [np.zeros((1, 10))], []
+            )
 
 
 class TestModelZoo:
