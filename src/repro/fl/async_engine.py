@@ -508,6 +508,10 @@ class _CommitHooks(RoundHooks):
     def __init__(self) -> None:
         #: L(w) at the previous probed commit's result
         self._loss_prev: float | None = None
+        #: the adaptive discount's (exponent played, probe exponent or
+        #: None) this commit, kept for the trace because the walk has
+        #: already moved when ``observe`` runs
+        self._played: tuple[float, float | None] | None = None
 
     def after_update(self, ctx: RoundContext) -> None:
         """Run the adaptive discount's counterfactual exponent probe.
@@ -525,9 +529,11 @@ class _CommitHooks(RoundHooks):
             # exponent could have changed; the walk advances unchanged
             # and the carried loss goes stale, so force a re-evaluation
             # at the next probed commit.
+            self._played = (discount.exponent, None)
             discount.observe(None)
             self._loss_prev = None
             return
+        self._played = (discount.exponent, a_probe)
         probe_factors = [float((1.0 + s) ** -a_probe) for s in engine._stale]
         # Same received batch, same selection J, probe discount — a pure
         # recomputation (commit=False keeps any robust aggregator's
@@ -605,6 +611,12 @@ class _CommitHooks(RoundHooks):
                 in_flight=engine.in_flight,
                 version=engine.version,
             )
+            if self._played is not None:
+                exponent, probe = self._played
+                ctx.trace_fields.update(
+                    staleness_exponent=exponent,
+                    staleness_probe_exponent=probe,
+                )
 
 
 # ----------------------------------------------------------------------

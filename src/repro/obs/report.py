@@ -56,8 +56,8 @@ def format_trace_report(summary: dict) -> str:
     """Human-readable phase-time / bytes / drops rollup of a summary."""
     lines = ["trace summary", "============="]
     events = summary["events"]
-    lines.append("events:   " + ", ".join(
-        f"{kind}={count}" for kind, count in events.items()) or "none")
+    lines.append("events:   " + (", ".join(
+        f"{kind}={count}" for kind, count in events.items()) or "none"))
     lines.append(f"rounds:   {summary['rounds']}")
 
     total = sum(summary["phase_seconds"].values())

@@ -421,6 +421,23 @@ class TestAsyncTelemetry:
             assert event["in_flight"] >= 0
             assert event["version"] == event["round"]
         assert [r["staleness"] for r in rounds] == trainer.staleness_history
+        # A fixed discount has no exponent to trace.
+        assert all("staleness_exponent" not in r for r in rounds)
+
+    def test_round_events_carry_the_played_exponent(self, tmp_path):
+        trainer, records = self._trace(
+            tmp_path, discount="adaptive", commit_count=3
+        )
+        rounds = [r for r in records if r["type"] == "round"]
+        played = [r["staleness_exponent"] for r in rounds]
+        assert played == trainer.discount.exponent_history[:len(rounds)]
+        assert len(set(played)) > 1  # the walk moved
+        for event in rounds:
+            probe = event["staleness_probe_exponent"]
+            # Only a commit with a stale arrival runs the probe.
+            assert (probe is None) == (event["staleness_max"] == 0)
+            if probe is not None:
+                assert 0.0 < probe < event["staleness_exponent"]
 
     def test_arrival_spans_are_schema_valid(self, tmp_path):
         trainer, records = self._trace(tmp_path, commit_count=3)

@@ -27,7 +27,10 @@ point.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1134,10 +1137,15 @@ class TestVirtualScenarioEquivalence:
             )
 
     def test_population_scenario_backends_identical(self):
+        self._population_backends_identical(2000)
+
+    def test_population_scenario_backends_identical_at_100k(self):
+        self._population_backends_identical(100_000)
+
+    def _population_backends_identical(self, population):
         # The full population-scale path (PopulationModel laws +
         # PopulationSampler cohorts + deadline gate) must stay
-        # bit-identical between serial and sharded execution — the
-        # CI smoke at N=1e5 runs this same check bigger.
+        # bit-identical between serial and sharded execution.
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import (
             build_federation,
@@ -1150,9 +1158,9 @@ class TestVirtualScenarioEquivalence:
                 participants=6, over_selection=0.25, seed=0
             )
             config = ExperimentConfig(
-                population=2000, samples_per_client=12, image_size=6,
-                num_classes=8, classes_per_writer=4, hidden=(8,),
-                learning_rate=0.05, batch_size=8, eval_every=2,
+                population=population, samples_per_client=12,
+                image_size=6, num_classes=8, classes_per_writer=4,
+                hidden=(8,), learning_rate=0.05, batch_size=8, eval_every=2,
                 scenario=scenario_cfg.to_dict(), seed=0,
             )
             federation = build_federation(config)
@@ -1182,8 +1190,89 @@ class TestVirtualScenarioEquivalence:
         ids_s = [c.client_id for c in serial.clients]
         ids_f = [c.client_id for c in fast.clients]
         assert ids_s == ids_f
-        assert 0 < len(ids_s) < 100  # O(cohort), nowhere near N=2000
+        assert 0 < len(ids_s) < 100  # O(cohort), nowhere near N
         fast.close()
+
+
+#: Churn + deadline rounds over virtual populations of 1e5 and 1e6
+#: clients with a fixed cohort, run in a fresh interpreter so its peak
+#: RSS counts this workload only.  Prints one JSON object per N.
+_POPULATION_SCALE_SCRIPT = """
+import json, resource, sys, time
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import (
+    build_federation, build_model, build_scenario,
+)
+from repro.fl.trainer import FLTrainer
+from repro.scenarios import ScenarioConfig
+from repro.sparsify.fab_topk import FABTopK
+
+COHORT, ROUNDS = 16, 3
+for population in (100_000, 1_000_000):
+    scenario = ScenarioConfig.default_churn().with_overrides(
+        participants=COHORT, over_selection=0.25, seed=0)
+    config = ExperimentConfig(
+        population=population, samples_per_client=25, image_size=10,
+        num_classes=16, classes_per_writer=5, hidden=(16,),
+        learning_rate=0.05, batch_size=16, eval_every=1_000_000,
+        scenario=scenario.to_dict(), seed=0)
+    federation = build_federation(config)
+    model = build_model(config)
+    timing, scn = build_scenario(config, [], model.dimension)
+    trainer = FLTrainer(
+        model, federation, FABTopK(), timing=timing,
+        learning_rate=config.learning_rate, batch_size=config.batch_size,
+        eval_every=config.eval_every, seed=config.seed, scenario=scn)
+    k = max(2, int(0.4 * model.dimension / COHORT))
+    times = []
+    for _ in range(ROUNDS):
+        start = time.process_time()
+        trainer.step(k)
+        times.append(time.process_time() - start)
+    # What one materialized client costs an eager federation: its
+    # sample arrays plus the dense residual the engine keeps for it.
+    dataset = federation.client_dataset(0)
+    per_client = dataset.x.nbytes + dataset.y.nbytes + model.dimension * 8
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps({
+        "population": population,
+        "round_seconds": times,
+        "touched": len(trainer.engine.clients),
+        "total_arrived": scn.stats.total_arrived,
+        "eager_bytes": per_client * population,
+        "peak_rss_bytes": peak if sys.platform == "darwin" else peak * 1024,
+    }))
+"""
+
+
+class TestPopulationScale:
+    """Rounds over a virtual population cost O(cohort), not O(N)."""
+
+    def test_cohort_bounded_rounds_at_1e5_and_1e6(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _POPULATION_SCALE_SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        small, large = (json.loads(line)
+                        for line in done.stdout.splitlines())
+        assert (small["population"], large["population"]) == (
+            100_000, 1_000_000
+        )
+        for run in (small, large):
+            # Ever-touched clients are bounded by cohort x rounds
+            # (over-selection included), whatever N is.
+            assert run["touched"] <= int(16 * 1.25) * 3
+            assert run["total_arrived"] > 0
+        peak = large["peak_rss_bytes"]
+        assert peak < 500 * 1024 * 1024, f"peak RSS {peak / 1e6:.0f} MB"
+        assert large["eager_bytes"] >= 100 * peak
+        # Round 1 pays one-off warm-up; the steady rounds must not
+        # scale with N.  CPU time, so a busy host cannot fail it.
+        assert (min(large["round_seconds"][1:])
+                < 3.0 * max(small["round_seconds"][1:]) + 0.05)
 
 
 class TestAdaptiveDeadlineIntegration:
